@@ -27,7 +27,7 @@ use bench::{
     measure_all, measure_all_fueled, print_suite_table, summarize_by_suite, BenchReport,
     Instrument,
 };
-use engine::{EngineConfig, Imports, Instrumentation, MultiEngine};
+use engine::{EngineConfig, Imports, Instrumentation, MultiEngine, Telemetry};
 use spc::CompilerOptions;
 
 /// Far above any line item's cost at either scale, so nothing traps.
@@ -64,6 +64,7 @@ fn main() {
             scale,
             Instrument::None,
             AMPLE_FUEL,
+            &Telemetry::disabled(),
         );
         for (a, b) in bench::paired(&plain, &metered) {
             if a.checksum != b.checksum {

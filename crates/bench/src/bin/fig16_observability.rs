@@ -4,7 +4,8 @@
 //!
 //! 1. **Overhead** — per tier, run the fueled suite sweep three ways: the
 //!    fig14 metered baseline, the same configuration re-run with telemetry
-//!    still disabled, and once more with telemetry enabled. The gate is on
+//!    still disabled, and once more with telemetry enabled (one sink shared
+//!    by the whole sweep, as a serving stack would share it). The gate is on
 //!    simulated execution cycles, the reproduction's deterministic clock:
 //!    disabled must stay within 2% of the baseline and enabled within 10%.
 //!    The telemetry layer's contract is stronger — samples and events charge
@@ -136,16 +137,13 @@ fn main() {
         "{:-<6}-+-{:-<10}-+-{:-<14}-+-{:-<14}-+-{:-<14}",
         "", "", "", "", ""
     );
+    let off = Telemetry::disabled();
+    let on = Telemetry::enabled();
     for (tier, config) in &tier_configs() {
         let metered = config.clone().with_metering();
-        let baseline = measure_all_fueled(&metered, scale, Instrument::None, AMPLE_FUEL);
-        let disabled = measure_all_fueled(&metered, scale, Instrument::None, AMPLE_FUEL);
-        let enabled = measure_all_fueled(
-            &metered.clone().with_telemetry(),
-            scale,
-            Instrument::None,
-            AMPLE_FUEL,
-        );
+        let baseline = measure_all_fueled(&metered, scale, Instrument::None, AMPLE_FUEL, &off);
+        let disabled = measure_all_fueled(&metered, scale, Instrument::None, AMPLE_FUEL, &off);
+        let enabled = measure_all_fueled(&metered, scale, Instrument::None, AMPLE_FUEL, &on);
         for (suite, _) in bench::summarize_by_suite(&baseline, |m| m.exec_cycles as f64) {
             let ratio_of = |runs: &[bench::ItemMeasurement]| {
                 let pick = |items: &[bench::ItemMeasurement]| {
@@ -300,13 +298,10 @@ fn main() {
         };
         for (backend_label, backend) in [("virt", CodeBackend::VirtualIsa), ("x64", CodeBackend::X64)]
         {
-            let config = config
-                .clone()
-                .with_metering()
-                .with_backend(backend)
-                .with_telemetry();
-            let engine =
-                Engine::new(config).with_epoch(Arc::new(AtomicU64::new(0)));
+            let config = config.clone().with_metering().with_backend(backend);
+            let engine = Engine::new(config)
+                .with_epoch(Arc::new(AtomicU64::new(0)))
+                .with_telemetry(Telemetry::enabled());
             let ticker =
                 EpochTicker::start(Arc::clone(engine.epoch()), Duration::from_micros(150));
             let mut instance = engine

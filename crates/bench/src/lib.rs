@@ -11,7 +11,7 @@
 
 pub mod report;
 
-use engine::{Engine, EngineConfig, Imports, Instrumentation};
+use engine::{Engine, EngineConfig, Imports, Instrumentation, Telemetry};
 use std::time::Duration;
 use suites::{BenchmarkItem, Scale};
 
@@ -66,13 +66,16 @@ pub fn measure_item(
     item: &BenchmarkItem,
     instrument: Instrument,
 ) -> ItemMeasurement {
-    measure_item_inner(config, item, instrument, None)
+    measure_item_inner(config, item, instrument, None, &Telemetry::disabled())
 }
 
 /// Like [`measure_item`] but arms a fuel budget before the call, so the
 /// interpreter's metering hook actually runs (a metering configuration with
 /// no fuel armed skips interpreter-side charging, while compiled code always
 /// executes its emitted check sequences — arming makes the comparison fair).
+/// The run's engine reports into `telemetry` (pass [`Telemetry::disabled`]
+/// for none); one handle shared across a sweep means one sink, not one per
+/// item.
 ///
 /// # Panics
 ///
@@ -83,13 +86,14 @@ pub fn measure_item_fueled(
     item: &BenchmarkItem,
     instrument: Instrument,
     fuel: u64,
+    telemetry: &Telemetry,
 ) -> ItemMeasurement {
     assert!(
         config.metering,
         "measure_item_fueled needs a metering configuration ({} is not)",
         config.name
     );
-    measure_item_inner(config, item, instrument, Some(fuel))
+    measure_item_inner(config, item, instrument, Some(fuel), telemetry)
 }
 
 fn measure_item_inner(
@@ -97,8 +101,9 @@ fn measure_item_inner(
     item: &BenchmarkItem,
     instrument: Instrument,
     fuel: Option<u64>,
+    telemetry: &Telemetry,
 ) -> ItemMeasurement {
-    let engine = Engine::new(config.clone());
+    let engine = Engine::new(config.clone()).with_telemetry(telemetry.clone());
     let instrumentation = match instrument {
         Instrument::None => Instrumentation::none(),
         Instrument::BranchMonitor => Instrumentation::branch_monitor(&item.module),
@@ -148,17 +153,21 @@ pub fn measure_all(
 
 /// Runs every line item of every suite under `config` with `fuel` armed per
 /// item ([`measure_item_fueled`]); pass a budget far above any item's cost so
-/// the whole workload completes while metering stays active.
+/// the whole workload completes while metering stays active. Every item's
+/// engine reports into the one `telemetry` handle.
 pub fn measure_all_fueled(
     config: &EngineConfig,
     scale: Scale,
     instrument: Instrument,
     fuel: u64,
+    telemetry: &Telemetry,
 ) -> Vec<ItemMeasurement> {
     let mut out = Vec::new();
     for suite in suites::all_suites(scale) {
         for item in &suite.items {
-            out.push(measure_item_fueled(config, item, instrument, fuel));
+            out.push(measure_item_fueled(
+                config, item, instrument, fuel, telemetry,
+            ));
         }
     }
     out
@@ -482,6 +491,7 @@ mod tests {
             item,
             Instrument::None,
             u64::MAX / 2,
+            &Telemetry::disabled(),
         );
         assert_eq!(plain.checksum, fueled.checksum);
         assert_eq!(plain.fuel_consumed, 0);

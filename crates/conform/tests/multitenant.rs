@@ -4,7 +4,10 @@
 
 use conform::runner::{all_configs, run_script};
 use conform::script::parse_script;
-use engine::{Engine, EngineConfig, Imports, Instrumentation, MultiEngine, ResourceLimits, TrapReason};
+use engine::{
+    Engine, EngineConfig, Imports, Instrumentation, MultiEngine, ResourceLimits, TrapReason,
+    MAX_CALL_DEPTH,
+};
 use machine::values::WasmValue;
 use wasm::wat;
 
@@ -138,6 +141,58 @@ fn tenant_call_depth_ceiling_binds_in_every_config() {
             config.name,
             outcome.failures
         );
+    }
+}
+
+/// A tenant call-depth ceiling folds into the engine maximum by taking the
+/// smaller of the two: `Some(64)` traps the 65th frame, and a ceiling above
+/// [`MAX_CALL_DEPTH`] still traps at the engine maximum, in every
+/// configuration.
+#[test]
+fn tenant_call_depth_folds_into_the_engine_maximum() {
+    // `down(n)` recurses `n` times, so it needs `n + 1` frames.
+    let script = |frames: usize| {
+        parse_script(
+            "depth-fold",
+            &format!(
+                r#"
+                (module
+                  (func $down (export "down") (param i32) (result i32)
+                    local.get 0
+                    i32.eqz
+                    if (result i32)
+                      i32.const 0
+                    else
+                      local.get 0
+                      i32.const 1
+                      i32.sub
+                      call $down
+                    end))
+                (assert_return (invoke "down" (i32.const {fits})) (i32.const 0))
+                (assert_trap (invoke "down" (i32.const {over})) "call stack exhausted")
+                "#,
+                fits = frames - 1,
+                over = frames,
+            ),
+        )
+        .expect("parses")
+    };
+    for (ceiling, frames) in [(64, 64), (1_000_000, MAX_CALL_DEPTH)] {
+        let script = script(frames);
+        let limits = ResourceLimits {
+            memory_pages: None,
+            table_elements: None,
+            call_depth: Some(ceiling),
+        };
+        for config in all_configs() {
+            let outcome = run_script(&script, &config.clone().with_limits(limits));
+            assert!(
+                outcome.is_pass(),
+                "[{}] ceiling {ceiling}: {:#?}",
+                config.name,
+                outcome.failures
+            );
+        }
     }
 }
 

@@ -58,7 +58,7 @@ pub struct CallSiteInfo {
 
 /// Information the engine needs about one probe site in compiled code: the
 /// original bytecode offset and the operand stack height there, so a frame
-/// accessor (or a tier-down to the interpreter) can reconstruct the frame.
+/// accessor can reconstruct the frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JitProbeSite {
     /// Bytecode offset of the probed instruction.

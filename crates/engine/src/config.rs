@@ -56,14 +56,14 @@ impl TierPolicy {
 /// a module asking for an unbounded memory under a 16-page tenant limit gets
 /// a memory that refuses to grow past 16 pages, and a module whose declared
 /// minimum already exceeds a ceiling fails instantiation. The call-depth
-/// ceiling caps [`EngineConfig::max_call_depth`] the same way.
+/// ceiling caps [`MAX_CALL_DEPTH`] the same way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResourceLimits {
     /// Maximum linear-memory size in 64 KiB pages (`None` = unlimited).
     pub memory_pages: Option<u32>,
     /// Maximum table size in elements (`None` = unlimited).
     pub table_elements: Option<u32>,
-    /// Maximum call depth (`None` = use [`EngineConfig::max_call_depth`]).
+    /// Maximum call depth (`None` = [`MAX_CALL_DEPTH`]).
     pub call_depth: Option<usize>,
 }
 
@@ -84,6 +84,10 @@ impl Default for ResourceLimits {
     }
 }
 
+/// The engine's call-depth ceiling: deeper calls trap with a stack overflow.
+/// [`ResourceLimits::call_depth`] can lower it, never raise it.
+pub const MAX_CALL_DEPTH: usize = 10_000;
+
 /// A complete engine configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
@@ -96,13 +100,6 @@ pub struct EngineConfig {
     /// Compile functions lazily at first call instead of eagerly at
     /// instantiation (a confounding factor the paper calls out in Fig. 10).
     pub lazy_compile: bool,
-    /// Validate the module during instantiation (wasm3 famously does not).
-    pub validate: bool,
-    /// When JIT code fires a probe, transfer the frame back to the
-    /// interpreter (tier-down / deopt) instead of continuing in JIT code.
-    pub deopt_on_probe: bool,
-    /// Maximum call depth before a stack-overflow trap.
-    pub max_call_depth: usize,
     /// Which macro-assembler backend the compiling tiers emit through.
     ///
     /// Execution always runs virtual-ISA code (the simulator cannot execute
@@ -128,13 +125,6 @@ pub struct EngineConfig {
     /// into [`EngineConfig::compile_fingerprint`]; runs with metering
     /// disabled pay nothing.
     pub metering: bool,
-    /// Attach a live telemetry sink to engines built from this
-    /// configuration: structured trace events, the metrics registry, and the
-    /// epoch-driven sampling profiler. Telemetry observes execution without
-    /// changing the code any tier emits — it is *not* part of
-    /// [`EngineConfig::compile_fingerprint`] — and charges no simulated
-    /// cycles, so enabling it never perturbs measured `exec_cycles`.
-    pub telemetry: bool,
     /// Per-tenant resource ceilings (memory pages, table elements, call
     /// depth) enforced at instantiation and at `memory.grow`.
     pub limits: ResourceLimits,
@@ -160,88 +150,47 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// An interpreter-only configuration (the reproduction's Wizard-INT).
-    pub fn interpreter(name: &str) -> EngineConfig {
+    /// The defaults every constructor shares: eager compilation, the
+    /// virtual-ISA backend, one compile worker, and no GC, metering, limits
+    /// or OSR.
+    fn base(name: &str, tier: TierPolicy) -> EngineConfig {
         EngineConfig {
             name: name.to_string(),
-            tier: TierPolicy::InterpreterOnly,
+            tier,
             cost: CostModel::default(),
             lazy_compile: false,
-            validate: true,
-            deopt_on_probe: false,
-            max_call_depth: 10_000,
             backend: CodeBackend::VirtualIsa,
             compile_workers: 1,
             gc_threshold: 0,
             metering: false,
-            telemetry: false,
             limits: ResourceLimits::unlimited(),
             osr_threshold: None,
         }
+    }
+
+    /// An interpreter-only configuration (the reproduction's Wizard-INT).
+    pub fn interpreter(name: &str) -> EngineConfig {
+        EngineConfig::base(name, TierPolicy::InterpreterOnly)
     }
 
     /// A baseline-compiler-only configuration with the given options.
     pub fn baseline(name: &str, options: CompilerOptions) -> EngineConfig {
-        EngineConfig {
-            name: name.to_string(),
-            tier: TierPolicy::BaselineOnly(options),
-            cost: CostModel::default(),
-            lazy_compile: false,
-            validate: true,
-            deopt_on_probe: false,
-            max_call_depth: 10_000,
-            backend: CodeBackend::VirtualIsa,
-            compile_workers: 1,
-            gc_threshold: 0,
-            metering: false,
-            telemetry: false,
-            limits: ResourceLimits::unlimited(),
-            osr_threshold: None,
-        }
+        EngineConfig::base(name, TierPolicy::BaselineOnly(options))
     }
 
     /// An optimizing-compiler-only configuration.
     pub fn optimizing(name: &str) -> EngineConfig {
-        EngineConfig {
-            name: name.to_string(),
-            tier: TierPolicy::OptimizingOnly,
-            cost: CostModel::default(),
-            lazy_compile: false,
-            validate: true,
-            deopt_on_probe: false,
-            max_call_depth: 10_000,
-            backend: CodeBackend::VirtualIsa,
-            compile_workers: 1,
-            gc_threshold: 0,
-            metering: false,
-            telemetry: false,
-            limits: ResourceLimits::unlimited(),
-            osr_threshold: None,
-        }
+        EngineConfig::base(name, TierPolicy::OptimizingOnly)
     }
 
     /// A two-tier configuration: interpreter first, baseline when hot.
     pub fn tiered(name: &str, threshold: u32, baseline: CompilerOptions) -> EngineConfig {
-        EngineConfig {
-            name: name.to_string(),
-            tier: TierPolicy::Tiered {
-                threshold,
-                opt_threshold: None,
-                baseline,
-            },
-            cost: CostModel::default(),
-            lazy_compile: true,
-            validate: true,
-            deopt_on_probe: false,
-            max_call_depth: 10_000,
-            backend: CodeBackend::VirtualIsa,
-            compile_workers: 1,
-            gc_threshold: 0,
-            metering: false,
-            telemetry: false,
-            limits: ResourceLimits::unlimited(),
-            osr_threshold: None,
-        }
+        let tier = TierPolicy::Tiered {
+            threshold,
+            opt_threshold: None,
+            baseline,
+        };
+        EngineConfig::base(name, tier).with_lazy_compile(true)
     }
 
     /// Adds the optimizing tier on top of this configuration: functions
@@ -278,18 +227,6 @@ impl EngineConfig {
         self
     }
 
-    /// Disables validation (the wasm3 design point).
-    pub fn without_validation(mut self) -> EngineConfig {
-        self.validate = false;
-        self
-    }
-
-    /// Enables tier-down to the interpreter when probes fire in JIT code.
-    pub fn with_deopt_on_probe(mut self) -> EngineConfig {
-        self.deopt_on_probe = true;
-        self
-    }
-
     /// Selects the macro-assembler backend the compiling tiers emit through
     /// (see [`EngineConfig::backend`]).
     pub fn with_backend(mut self, backend: CodeBackend) -> EngineConfig {
@@ -315,13 +252,6 @@ impl EngineConfig {
     /// every tier (see [`EngineConfig::metering`]).
     pub fn with_metering(mut self) -> EngineConfig {
         self.metering = true;
-        self
-    }
-
-    /// Attaches a live telemetry sink to engines built from this
-    /// configuration (see [`EngineConfig::telemetry`]).
-    pub fn with_telemetry(mut self) -> EngineConfig {
-        self.telemetry = true;
         self
     }
 
@@ -446,7 +376,6 @@ mod tests {
     fn constructors_set_tiers() {
         let i = EngineConfig::interpreter("wizeng-int");
         assert_eq!(i.tier, TierPolicy::InterpreterOnly);
-        assert!(i.validate);
         assert!(i.baseline_options().is_none());
 
         let b = EngineConfig::baseline("spc", CompilerOptions::allopt());
@@ -463,14 +392,9 @@ mod tests {
 
     #[test]
     fn builder_modifiers() {
-        let c = EngineConfig::interpreter("wasm3-like")
-            .without_validation()
-            .with_lazy_compile(true);
-        assert!(!c.validate);
+        let c = EngineConfig::interpreter("int").with_lazy_compile(true);
         assert!(c.lazy_compile);
-        let d = EngineConfig::default().with_deopt_on_probe();
-        assert!(d.deopt_on_probe);
-        assert_eq!(d.backend, CodeBackend::VirtualIsa);
+        assert_eq!(EngineConfig::default().backend, CodeBackend::VirtualIsa);
         let x = EngineConfig::default().with_backend(CodeBackend::X64);
         assert_eq!(x.backend, CodeBackend::X64);
     }
@@ -515,9 +439,6 @@ mod tests {
         );
         // Metering changes emitted code, so it changes the fingerprint.
         assert_ne!(fp, base.clone().with_metering().compile_fingerprint());
-        // Telemetry observes without changing emitted code: same fingerprint,
-        // so traced and untraced engines share cache entries.
-        assert_eq!(fp, base.clone().with_telemetry().compile_fingerprint());
         // Code-affecting differences change it.
         assert_ne!(fp, EngineConfig::baseline("a", CompilerOptions::nok()).compile_fingerprint());
         assert_ne!(fp, EngineConfig::interpreter("a").compile_fingerprint());

@@ -6,8 +6,7 @@
 //! linear memory/globals/tables, the host GC heap, instrumentation, and the
 //! unified execution driver that lets interpreter frames and JIT frames call
 //! each other freely (tier-up happens at function entry once a function gets
-//! hot; tier-down to the interpreter can happen when a probe fires in JIT
-//! code).
+//! hot).
 //!
 //! Compilation itself lives in [`crate::pipeline`]: every instance holds an
 //! immutable, shareable [`CompiledModule`] artifact behind an [`Arc`], while
@@ -16,7 +15,7 @@
 //! a [`BackgroundCompiler`] (off-thread tier-up).
 
 use crate::cache::{CacheKey, CodeCache};
-use crate::config::{EngineConfig, TierPolicy};
+use crate::config::{EngineConfig, TierPolicy, MAX_CALL_DEPTH};
 use crate::gc::{scan_roots_via_stackmaps, scan_roots_via_tags, Heap, StackmapFrame};
 use crate::image::MemoryImage;
 use crate::monitor::Instrumentation;
@@ -453,22 +452,15 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Creates an engine with the given configuration. A fresh telemetry
-    /// sink is attached when the configuration says
-    /// [`EngineConfig::telemetry`]; use [`Engine::with_telemetry`] to share
-    /// an existing sink instead.
+    /// Creates an engine with the given configuration and telemetry
+    /// disabled; attach a sink with [`Engine::with_telemetry`].
     pub fn new(config: EngineConfig) -> Engine {
-        let telemetry = if config.telemetry {
-            Telemetry::enabled()
-        } else {
-            Telemetry::disabled()
-        };
         Engine {
             config,
             cache: None,
             background: None,
             epoch: Arc::new(AtomicU64::new(0)),
-            telemetry,
+            telemetry: Telemetry::disabled(),
         }
     }
 
@@ -510,17 +502,18 @@ impl Engine {
         self
     }
 
-    /// Shares a telemetry handle (and with it, the sink behind it) with
-    /// other engines — the way a serving stack collects every worker's
-    /// events into one trace. Passing a disabled handle turns telemetry
-    /// off regardless of [`EngineConfig::telemetry`].
+    /// Attaches a telemetry handle: structured trace events, the metrics
+    /// registry, and the epoch-driven sampling profiler. Clones of one
+    /// handle share its sink — the way a serving stack collects every
+    /// worker's events into one trace. Telemetry never changes the code any
+    /// tier emits, so traced and untraced engines share cache entries, and
+    /// it charges no simulated cycles.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Engine {
         self.telemetry = telemetry;
         self
     }
 
-    /// The engine's telemetry handle (disabled unless configured or shared
-    /// in).
+    /// The engine's telemetry handle (disabled unless attached).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
@@ -928,9 +921,7 @@ impl Engine {
             .config
             .limits
             .call_depth
-            .map_or(self.config.max_call_depth, |d| {
-                d.min(self.config.max_call_depth)
-            });
+            .map_or(MAX_CALL_DEPTH, |d| d.min(MAX_CALL_DEPTH));
         if depth >= max_depth {
             return Err(TrapCode::StackOverflow);
         }
@@ -1371,7 +1362,7 @@ impl Engine {
                     }
                 }
                 UnifiedExit::Probe { exit, resume } => {
-                    self.handle_jit_probe(instance, act, exit, resume)?;
+                    self.handle_jit_probe(instance, act, exit, resume);
                 }
                 UnifiedExit::Osr { offset, resume } => {
                     self.handle_osr(instance, act, offset, resume);
@@ -1467,7 +1458,7 @@ impl Engine {
         act: &mut Activation,
         exit: ProbeExit,
         resume: usize,
-    ) -> Result<(), TrapCode> {
+    ) {
         let defined = act.defined_index;
         let func_index = act.func_index;
         let tier = act.tier.jit_tier().expect("probe fired in compiled code");
@@ -1496,20 +1487,6 @@ impl Engine {
                 );
             }
             ProbeExit::Runtime { .. } | ProbeExit::Direct { .. } => {
-                if self.config.deopt_on_probe {
-                    // Tier-down: the frame state is flushed at runtime probes,
-                    // so the interpreter can take over in place. The probe is
-                    // NOT fired here — the interpreter will fire it when it
-                    // re-executes the probed instruction.
-                    let num_locals = instance.artifact.prepared(defined).num_locals() as usize;
-                    instance
-                        .values
-                        .set_sp(act.frame_base + num_locals + operand_height as usize);
-                    act.tier = FrameTier::Interp {
-                        ip: offset as usize,
-                    };
-                    return Ok(());
-                }
                 let num_locals = instance.artifact.prepared(defined).num_locals() as usize;
                 let sp_before = instance.values.sp();
                 instance
@@ -1526,11 +1503,9 @@ impl Engine {
                 instance.values.set_sp(sp_before);
             }
         }
-        match &mut act.tier {
-            FrameTier::Jit { pc, .. } => *pc = resume,
-            FrameTier::Interp { .. } => {}
+        if let FrameTier::Jit { pc, .. } = &mut act.tier {
+            *pc = resume;
         }
-        Ok(())
     }
 
     fn call_host(

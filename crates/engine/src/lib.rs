@@ -59,7 +59,7 @@ pub mod pool;
 pub mod trap;
 
 pub use cache::{CacheKey, CacheStats, CodeCache};
-pub use config::{EngineConfig, ResourceLimits, TierPolicy};
+pub use config::{EngineConfig, ResourceLimits, TierPolicy, MAX_CALL_DEPTH};
 pub use machine::masm::CodeBackend;
 pub use engine::{Engine, EngineError, HostFunc, Imports, Instance, RunMetrics};
 pub use gc::{Heap, HostObject};

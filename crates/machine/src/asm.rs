@@ -8,8 +8,7 @@
 //! The assembler also records a *source map* from emitted instruction indices
 //! back to Wasm bytecode offsets. That map is what lets the engine recompute
 //! the bytecode-level program counter from a machine-code location for
-//! stack traces, instrumentation, and tier-down (deopt), per Section IV-B of
-//! the paper.
+//! stack traces and instrumentation, per Section IV-B of the paper.
 
 use crate::inst::{Label, MachInst};
 use std::fmt;

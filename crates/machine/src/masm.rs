@@ -97,8 +97,8 @@ pub trait Masm {
     fn bind(&mut self, label: Label);
 
     /// Records that code emitted from here on originates from the Wasm
-    /// bytecode offset `offset` (the source map used for stack traces,
-    /// instrumentation, and tier-down).
+    /// bytecode offset `offset` (the source map used for stack traces and
+    /// instrumentation).
     fn mark_source(&mut self, offset: u32);
 
     /// The number of macro operations emitted so far (a backend-independent

@@ -13,7 +13,7 @@
 //! ```
 //!
 //! `*` only present when the function has runtime/direct probe sites, whose
-//! observable frames (and tier-down) need the interpreter's layout.
+//! observable frames need the interpreter's layout.
 //! Call arguments are passed at the *top* of the frame — the engine reads
 //! the zone's base from the call-site metadata, so the callee's frame never
 //! overlaps the caller's live spill slots.
@@ -405,7 +405,7 @@ impl<'a, M: Masm> Emitter<'a, M> {
                 flush,
             } => {
                 // Materialize the interpreter frame: values and tags, so
-                // frame accessors (and a tier-down) see a canonical frame.
+                // frame accessors see a canonical frame.
                 for &(slot, v) in flush {
                     let ty = self.ir.ty(v);
                     match self.src_of(v) {

@@ -337,8 +337,8 @@ impl<'a> Builder<'a> {
                 });
             }
             (ProbeMode::Optimized, ProbeKind::Generic) | (ProbeMode::Runtime, _) => {
-                // Observable frame: the interpreter layout must hold, for
-                // frame accessors and tier-down.
+                // Observable frame: the interpreter layout must hold for
+                // frame accessors.
                 let mut flush = Vec::with_capacity(self.locals.len() + self.stack.len());
                 for (i, &v) in self.locals.iter().enumerate() {
                     flush.push((i as u32, v));

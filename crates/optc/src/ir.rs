@@ -270,7 +270,7 @@ pub enum Inst {
     },
     /// A runtime or direct-call probe. These sites are *observable frames*:
     /// the interpreter frame layout must be reconstructable (for frame
-    /// accessors and tier-down), so `flush` lists every `(slot, value)` pair
+    /// accessors), so `flush` lists every `(slot, value)` pair
     /// the emitter must store before the probe — current locals at their
     /// local slots and operand-stack values at `num_locals + position`.
     ProbeFlush {

@@ -5,14 +5,10 @@
 //! a request driver in the shape of a multi-tenant function-as-a-service
 //! server. A [`Server`] hosts a set of *apps* (modules registered up
 //! front), and [`Server::run`] executes a batch of [`Request`]s against
-//! them across a pool of parked worker threads. The moving parts, each its
-//! own module, are the classic serving idioms:
+//! them across scoped worker threads: the batch is split round-robin before
+//! the workers start, and each worker hands its results back when it is
+//! joined. The moving parts are the classic serving idioms:
 //!
-//! * [`spsc`] — one bounded single-producer/single-consumer mailbox per
-//!   worker; the dispatcher round-robins requests in, workers park when
-//!   their queue runs dry;
-//! * [`wait_group`] — the batch barrier: every worker holds a guard,
-//!   dropped even on panic, and the dispatcher waits for all of them;
 //! * [`deadline`] — wall-clock budgets lowered onto the engine's epoch
 //!   preemption: a ticker thread advances the shared epoch, a
 //!   `timeout_list` converts budgets to epoch deadlines, and the engine
@@ -38,8 +34,6 @@
 
 pub mod access_log;
 pub mod deadline;
-pub mod spsc;
-pub mod wait_group;
 
 use access_log::FlightRecorder;
 use deadline::{EpochTicker, TimeoutList};
@@ -48,21 +42,17 @@ use engine::{
     TrapReason,
 };
 use machine::values::WasmValue;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 use telemetry::{EventKind, Telemetry};
 use wasm::module::Module;
-use wait_group::WaitGroup;
 
 /// Sizing and pacing knobs for a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads executing requests.
     pub workers: usize,
-    /// Capacity of each worker's request mailbox; the dispatcher applies
-    /// backpressure (yields) when a mailbox is full.
-    pub queue_capacity: usize,
     /// Instances each app's pool retains between requests.
     pub max_idle_per_app: usize,
     /// The epoch tick period — the granularity at which deadlines are
@@ -82,7 +72,6 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             workers: 2,
-            queue_capacity: 64,
             max_idle_per_app: 8,
             epoch_granularity: Duration::from_millis(1),
             telemetry: Telemetry::disabled(),
@@ -243,14 +232,10 @@ impl Server {
         entry: &str,
         module: Module,
     ) -> Result<usize, EngineError> {
-        let mut engine = Engine::new(self.engine_config.clone())
+        let engine = Engine::new(self.engine_config.clone())
             .with_code_cache(Arc::clone(&self.cache))
-            .with_epoch(Arc::clone(self.ticker.epoch()));
-        // Share the server's sink when one is attached; otherwise leave the
-        // engine's own (config-driven) handle alone.
-        if self.server_config.telemetry.is_enabled() {
-            engine = engine.with_telemetry(self.server_config.telemetry.clone());
-        }
+            .with_epoch(Arc::clone(self.ticker.epoch()))
+            .with_telemetry(self.server_config.telemetry.clone());
         let pool = InstancePool::new(engine, module, self.server_config.max_idle_per_app)?;
         pool.set_label(self.apps.len() as u32);
         self.apps.push(App {
@@ -297,48 +282,37 @@ impl Server {
         &self.recorder
     }
 
-    /// Executes a batch: requests are round-robined across the worker
-    /// mailboxes, workers drain them concurrently, and the batch joins on a
-    /// [`WaitGroup`]. Results come back in request order regardless of
-    /// completion order.
+    /// Executes a batch: request `i` goes to worker `i % workers`, each
+    /// worker serves its share in order on a scoped thread, and the joined
+    /// results come back in request order regardless of completion order.
     pub fn run(&self, requests: Vec<Request>) -> Vec<RequestResult> {
         let workers = self.server_config.workers.max(1);
-        let total = requests.len();
-        let mut producers = Vec::with_capacity(workers);
-        let mut consumers = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = spsc::channel::<Work>(self.server_config.queue_capacity);
-            producers.push(tx);
-            consumers.push(rx);
+        let mut shares: Vec<Vec<Work>> = (0..workers).map(|_| Vec::new()).collect();
+        for (id, request) in requests.into_iter().enumerate() {
+            self.server_config.telemetry.emit(EventKind::ServeEnqueue {
+                request: id as u32,
+                app: request.app as u32,
+            });
+            shares[id % workers].push(Work { id, request });
         }
-        let wg = WaitGroup::new();
-        let results = Mutex::new(Vec::with_capacity(total));
-        thread::scope(|scope| {
-            for (worker, rx) in consumers.into_iter().enumerate() {
-                let guard = wg.worker();
-                let results = &results;
-                scope.spawn(move || {
-                    let _done = guard;
-                    while let Some(work) = rx.recv() {
-                        let result = self.serve_one(worker, work);
-                        results.lock().expect("results lock").push(result);
-                    }
-                });
-            }
-            for (id, request) in requests.into_iter().enumerate() {
-                self.server_config.telemetry.emit(EventKind::ServeEnqueue {
-                    request: id as u32,
-                    app: request.app as u32,
-                });
-                producers[id % workers].push(Work { id, request });
-            }
-            for tx in &producers {
-                tx.close();
-            }
-            wg.wait();
+        let mut out: Vec<RequestResult> = thread::scope(|scope| {
+            let handles: Vec<_> = shares
+                .into_iter()
+                .enumerate()
+                .map(|(worker, share)| {
+                    scope.spawn(move || {
+                        share
+                            .into_iter()
+                            .map(|work| self.serve_one(worker, work))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("serve worker panicked"))
+                .collect()
         });
-        let mut out = results.into_inner().expect("results lock");
-        debug_assert_eq!(out.len(), total);
         out.sort_by_key(|r| r.request_id);
         out
     }
@@ -502,6 +476,14 @@ mod tests {
 
     #[test]
     fn a_batch_runs_isolated_across_workers() {
+        // At 193 requests each of the 3 workers gets more than 64: no
+        // per-worker capacity may cap a worker's share.
+        for batch in [12, 193] {
+            batch_runs_isolated_across_workers(batch);
+        }
+    }
+
+    fn batch_runs_isolated_across_workers(batch: usize) {
         let mut server = Server::new(
             ServerConfig {
                 workers: 3,
@@ -514,20 +496,20 @@ mod tests {
         assert_eq!(server.num_apps(), 2);
         assert_eq!(server.app_name(counter), Some("counter"));
 
-        let mut requests = Vec::new();
-        for i in 0..12 {
-            if i % 2 == 0 {
-                requests.push(Request::to_app(counter));
-            } else {
-                requests.push(
-                    Request::to_app(doubler).with_args(vec![WasmValue::I32(i)]),
-                );
-            }
-        }
+        let requests: Vec<Request> = (0..batch)
+            .map(|i| {
+                if i % 2 == 0 {
+                    Request::to_app(counter)
+                } else {
+                    Request::to_app(doubler).with_args(vec![WasmValue::I32(i as i32)])
+                }
+            })
+            .collect();
         let results = server.run(requests);
-        assert_eq!(results.len(), 12);
+        assert_eq!(results.len(), batch);
         for (i, r) in results.iter().enumerate() {
             assert_eq!(r.request_id, i, "results in request order");
+            assert_eq!(r.worker, i % 3, "request {i} goes to worker i % workers");
             if i % 2 == 0 {
                 assert_eq!(
                     r.status,
@@ -542,11 +524,10 @@ mod tests {
                 );
             }
             assert!(r.exec_cycles > 0, "simulated cycles recorded");
-            assert!(r.worker < 3);
         }
         // Pool accounting: every checkout was either warm or cold.
         let stats = server.pool_stats(counter).unwrap();
-        assert_eq!(stats.warm_checkouts + stats.cold_checkouts, 6);
+        assert_eq!(stats.warm_checkouts + stats.cold_checkouts, batch.div_ceil(2) as u64);
         assert!(stats.warm_checkouts >= 1, "the parked first instance was reused");
         // Cache accounting: one miss per app's first instantiation; every
         // cold fallback checkout afterwards hit.

@@ -119,7 +119,7 @@ pub enum EventKind {
         /// True for the snapshot-reset path, false for a cold instantiation.
         warm: bool,
     },
-    /// A request entered a worker mailbox.
+    /// A request was assigned to a worker.
     ServeEnqueue {
         /// Position of the request in its batch.
         request: u32,

@@ -150,8 +150,9 @@ fn profiler_attributes_the_hot_loop_across_tiers_and_backends() {
     });
     for (config, expected_tier, backend) in matrix {
         let name = format!("{}/{backend:?}", config.name);
-        let engine = Engine::new(config.with_metering().with_telemetry())
-            .with_epoch(Arc::new(AtomicU64::new(0)));
+        let engine = Engine::new(config.with_metering())
+            .with_epoch(Arc::new(AtomicU64::new(0)))
+            .with_telemetry(Telemetry::enabled());
         let ticker = EpochTicker::start(Arc::clone(engine.epoch()), Duration::from_micros(150));
         let mut instance = engine
             .instantiate(&module, Imports::new(), Instrumentation::none())
@@ -258,8 +259,9 @@ fn profiler_attributes_deep_recursion_without_back_edges() {
     });
     for (config, expected_tier, backend) in matrix {
         let name = format!("{}/{backend:?}", config.name);
-        let engine = Engine::new(config.with_metering().with_telemetry())
-            .with_epoch(Arc::new(AtomicU64::new(0)));
+        let engine = Engine::new(config.with_metering())
+            .with_epoch(Arc::new(AtomicU64::new(0)))
+            .with_telemetry(Telemetry::enabled());
         let ticker = EpochTicker::start(Arc::clone(engine.epoch()), Duration::from_micros(150));
         let mut instance = engine
             .instantiate(&module, Imports::new(), Instrumentation::none())
@@ -377,8 +379,10 @@ fn disabled_telemetry_leaves_execution_cycles_untouched() {
         ("spc", EngineConfig::baseline("spc", CompilerOptions::allopt())),
     ] {
         // Metering exercises the same check sites the sampler piggybacks on.
-        let run = |config: EngineConfig| {
-            let engine = Engine::new(config).with_epoch(Arc::new(AtomicU64::new(0)));
+        let run = |config: EngineConfig, telemetry: Telemetry| {
+            let engine = Engine::new(config)
+                .with_epoch(Arc::new(AtomicU64::new(0)))
+                .with_telemetry(telemetry);
             let mut instance = engine
                 .instantiate(&module, Imports::new(), Instrumentation::none())
                 .expect("instantiates");
@@ -388,8 +392,9 @@ fn disabled_telemetry_leaves_execution_cycles_untouched() {
                 .expect("runs");
             (result, instance.metrics.exec_cycles)
         };
-        let (plain_result, plain_cycles) = run(config.clone().with_metering());
-        let (traced_result, traced_cycles) = run(config.with_metering().with_telemetry());
+        let (plain_result, plain_cycles) =
+            run(config.clone().with_metering(), Telemetry::disabled());
+        let (traced_result, traced_cycles) = run(config.with_metering(), Telemetry::enabled());
         assert_eq!(plain_result, traced_result, "{name}: same answer");
         assert_eq!(
             plain_cycles, traced_cycles,
