@@ -11,8 +11,11 @@
 //!    The telemetry layer's contract is stronger — samples and events charge
 //!    *zero* simulated cycles, so both ratios should be exactly 1.0 — which
 //!    makes this gate a regression tripwire: it only fires if someone wires
-//!    an event into a cycle-charging path. Wall-clock ratios are printed for
-//!    context but not gated (they measure host noise, not the design).
+//!    an event into a cycle-charging path. The "enabled setup wall" ratio is
+//!    printed for context but not gated: it sums each item's `setup_wall`,
+//!    so it compares instantiation time (validate, prepare, eager
+//!    compile, segment init) with telemetry on vs. off, not execution time,
+//!    and it moves with host noise.
 //!
 //! 2. **Serving trace** — a fig15-style batch through the `serve` stack with
 //!    a shared telemetry sink attached; asserts the trace actually covers
@@ -130,11 +133,11 @@ fn main() {
     // ---- Part 1: overhead of the telemetry layer on execution cycles -----
     println!("\n[1] telemetry overhead on metered execution (exec-cycle ratio vs. baseline):");
     println!(
-        "{:<6} | {:<10} | {:>14} | {:>14} | {:>14}",
-        "tier", "suite", "disabled", "enabled", "enabled wall"
+        "{:<6} | {:<10} | {:>14} | {:>14} | {:>18}",
+        "tier", "suite", "disabled", "enabled", "enabled setup wall"
     );
     println!(
-        "{:-<6}-+-{:-<10}-+-{:-<14}-+-{:-<14}-+-{:-<14}",
+        "{:-<6}-+-{:-<10}-+-{:-<14}-+-{:-<14}-+-{:-<18}",
         "", "", "", "", ""
     );
     let off = Telemetry::disabled();
@@ -157,23 +160,26 @@ fn main() {
             };
             let disabled_ratio = ratio_of(&disabled);
             let enabled_ratio = ratio_of(&enabled);
-            let wall = |items: &[bench::ItemMeasurement]| {
+            let setup_wall = |items: &[bench::ItemMeasurement]| {
                 items
                     .iter()
                     .filter(|m| m.suite == suite)
                     .map(|m| m.setup_wall.as_secs_f64())
                     .sum::<f64>()
             };
-            let wall_ratio = wall(&enabled) / wall(&baseline).max(1e-12);
+            let setup_wall_ratio = setup_wall(&enabled) / setup_wall(&baseline).max(1e-12);
             println!(
-                "{tier:<6} | {suite:<10} | {disabled_ratio:>13.4}x | {enabled_ratio:>13.4}x | {wall_ratio:>13.2}x"
+                "{tier:<6} | {suite:<10} | {disabled_ratio:>13.4}x | {enabled_ratio:>13.4}x | {setup_wall_ratio:>17.2}x"
             );
             report.metric(
                 &format!("{tier}.{suite}.disabled_exec_ratio"),
                 disabled_ratio,
             );
             report.metric(&format!("{tier}.{suite}.enabled_exec_ratio"), enabled_ratio);
-            report.metric(&format!("{tier}.{suite}.enabled_wall_ratio"), wall_ratio);
+            report.metric(
+                &format!("{tier}.{suite}.enabled_setup_wall_ratio"),
+                setup_wall_ratio,
+            );
             if disabled_ratio > 1.02 {
                 failures.push(format!(
                     "{tier}/{suite}: disabled-telemetry exec ratio {disabled_ratio:.4} > 1.02"

@@ -11,15 +11,15 @@
 //! Compilation itself lives in [`crate::pipeline`]: every instance holds an
 //! immutable, shareable [`CompiledModule`] artifact behind an [`Arc`], while
 //! the instance keeps only mutable runtime state. An engine can additionally
-//! be wired to a [`CodeCache`] (shared artifacts across instantiations) and
-//! a [`BackgroundCompiler`] (off-thread tier-up).
+//! be wired to a [`CodeCache`] (shared artifacts across instantiations).
+//! Every compilation after instantiation runs on the calling thread.
 
 use crate::cache::{CacheKey, CodeCache};
 use crate::config::{EngineConfig, TierPolicy, MAX_CALL_DEPTH};
 use crate::gc::{scan_roots_via_stackmaps, scan_roots_via_tags, Heap, StackmapFrame};
 use crate::image::MemoryImage;
 use crate::monitor::Instrumentation;
-use crate::pipeline::{self, BackgroundCompiler, CompileTier, CompiledArtifact, CompiledModule};
+use crate::pipeline::{self, CompileTier, CompiledArtifact, CompiledModule};
 use crate::trap::{Backtrace, Frame, FrameTierTag, TrapInfo, TrapReason};
 use interp::interp::{InterpExit, Interpreter};
 use interp::probe::{FrameAccessor, ProbeSink};
@@ -115,9 +115,8 @@ pub struct RunMetrics {
     /// (part of `setup_wall`) shrinks.
     pub compile_wall: Duration,
     /// Wall-clock time spent compiling after instantiation in the *baseline*
-    /// tier: lazy first-call compiles, tier-up compiles, and background
-    /// compiles performed on this instance's behalf (accounted when the
-    /// published code is first observed). Kept separate from
+    /// tier: lazy first-call and tier-up compiles this instance ran on its
+    /// calling thread. Kept separate from
     /// [`RunMetrics::compile_wall`] so the deferred-compilation confounder is
     /// visible; sum everything via [`RunMetrics::total_compile_wall`] when
     /// only the total matters.
@@ -182,7 +181,7 @@ pub struct RunMetrics {
 
 impl RunMetrics {
     /// Total wall-clock compile time attributed to this instance, eager plus
-    /// deferred (lazy / tier-up / background) plus the optimizing tier.
+    /// deferred (lazy / tier-up) plus the optimizing tier.
     pub fn total_compile_wall(&self) -> Duration {
         self.compile_wall + self.lazy_compile_wall + self.opt_compile_wall
     }
@@ -217,11 +216,6 @@ pub struct Instance {
     /// the fused meter-check sites. Like [`Instance::call_counts`], this is
     /// earned tier state: a pool reset keeps it.
     osr_counts: Vec<u32>,
-    /// Functions this instance has handed to the background compiler and
-    /// not yet observed published, per tier (`[baseline, opt]`; used to
-    /// attribute the off-thread compile time to this instance's metrics
-    /// exactly once).
-    background_pending: Vec<[bool; 2]>,
     memory: Option<LinearMemory>,
     globals: Vec<GlobalSlot>,
     tables: Vec<Table>,
@@ -399,13 +393,6 @@ impl FrameTier {
     }
 }
 
-fn tier_index(tier: CompileTier) -> usize {
-    match tier {
-        CompileTier::Baseline => 0,
-        CompileTier::Opt => 1,
-    }
-}
-
 struct Activation {
     func_index: u32,
     defined_index: u32,
@@ -431,15 +418,15 @@ struct Activation {
 /// The engine: a configuration plus the machinery to instantiate and run
 /// modules under it.
 ///
-/// Engines are cheap to clone; clones share the attached [`CodeCache`] and
-/// [`BackgroundCompiler`] (both behind [`Arc`]s), which is how a serving
-/// setup gives every worker thread its own engine handle over one shared
-/// cache and compile pool.
+/// Engines are cheap to clone; clones share the attached [`CodeCache`]
+/// (behind an [`Arc`]), which is how a serving setup gives every worker
+/// thread its own engine handle over one shared cache. There is one compile
+/// path: [`pipeline::compile_eager`] at instantiation, and the calling
+/// thread for every lazy first call, tier-up, promotion, and OSR request.
 #[derive(Debug, Clone, Default)]
 pub struct Engine {
     config: EngineConfig,
     cache: Option<Arc<CodeCache>>,
-    background: Option<Arc<BackgroundCompiler>>,
     /// The shared epoch counter for preemption. Engine clones (and engines
     /// built by [`crate::multi::MultiEngine`]) share one counter, so a
     /// supervisor thread bumping it preempts every instance with an armed
@@ -458,7 +445,6 @@ impl Engine {
         Engine {
             config,
             cache: None,
-            background: None,
             epoch: Arc::new(AtomicU64::new(0)),
             telemetry: Telemetry::disabled(),
         }
@@ -473,14 +459,6 @@ impl Engine {
         self
     }
 
-    /// Attaches a background compile pool: lazy and tier-up compilations are
-    /// enqueued there and execution continues in the interpreter until the
-    /// compiled code is published into the shared artifact.
-    pub fn with_background_compiler(mut self, pool: Arc<BackgroundCompiler>) -> Engine {
-        self.background = Some(pool);
-        self
-    }
-
     /// The engine's configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
@@ -489,11 +467,6 @@ impl Engine {
     /// The attached code cache, if any.
     pub fn code_cache(&self) -> Option<&Arc<CodeCache>> {
         self.cache.as_ref()
-    }
-
-    /// The attached background compile pool, if any.
-    pub fn background_compiler(&self) -> Option<&Arc<BackgroundCompiler>> {
-        self.background.as_ref()
     }
 
     /// Shares an epoch counter with other engines (see [`Engine::epoch`]).
@@ -615,7 +588,6 @@ impl Engine {
             artifact,
             call_counts: vec![0; num_defined],
             osr_counts: vec![0; num_defined],
-            background_pending: vec![[false; 2]; num_defined],
             memory,
             globals,
             tables,
@@ -755,7 +727,8 @@ impl Engine {
 
     /// Compiles `defined` for `tier` in the execution thread unless it is
     /// already published, attributing newly-published work to this
-    /// instance's deferred-compile metrics.
+    /// instance's deferred-compile metrics. If another instance sharing the
+    /// artifact publishes first, that instance accounts the work.
     fn ensure_compiled(
         &self,
         instance: &mut Instance,
@@ -763,7 +736,6 @@ impl Engine {
         tier: CompileTier,
     ) -> Result<(), spc::CompileError> {
         if instance.artifact.artifact_for(defined, tier).is_some() {
-            self.observe_published(instance, defined, tier);
             return Ok(());
         }
         let func_index = instance.artifact.module().defined_to_func_index(defined);
@@ -792,61 +764,13 @@ impl Engine {
                 func: func_index,
                 tier: pipeline::telemetry_tier(tier),
             });
-        } else {
-            // A background worker (or another instance sharing the artifact)
-            // won the publication race.
-            self.observe_published(instance, defined, tier);
         }
         Ok(())
     }
 
-    /// Accounts a background compilation into this instance's metrics the
-    /// first time its published result is observed at a call boundary.
-    fn observe_published(&self, instance: &mut Instance, defined: u32, tier: CompileTier) {
-        if !instance.background_pending[defined as usize][tier_index(tier)] {
-            return;
-        }
-        instance.background_pending[defined as usize][tier_index(tier)] = false;
-        if let Some(compiled) = instance.artifact.artifact_for(defined, tier) {
-            account_compile(&mut instance.metrics, compiled, CompileTiming::Deferred, tier);
-        }
-    }
-
-    /// Hands the compilation of `defined` for `tier` to the background pool
-    /// (at most once per tier), snapshotting the branch profile for
-    /// optimizing-tier jobs.
-    fn enqueue_background(
-        &self,
-        pool: &BackgroundCompiler,
-        instance: &mut Instance,
-        defined: u32,
-        tier: CompileTier,
-    ) {
-        if instance.background_pending[defined as usize][tier_index(tier)] {
-            return;
-        }
-        let func_index = instance.artifact.module().defined_to_func_index(defined);
-        let probes = instance.instrumentation.sites_for(func_index);
-        let profile = match tier {
-            CompileTier::Opt => Some(instance.instrumentation.func_profile(func_index)),
-            CompileTier::Baseline => None,
-        };
-        if pool.enqueue_tier(
-            Arc::clone(&instance.artifact),
-            defined,
-            probes,
-            self.config.clone(),
-            tier,
-            profile,
-        ) {
-            instance.background_pending[defined as usize][tier_index(tier)] = true;
-        }
-    }
-
     /// Decides the tier for a new activation of `defined`, compiling lazily
-    /// or on tier-up / promotion as needed. With a background pool attached,
-    /// deferred compilations are enqueued off-thread and the function keeps
-    /// running in the best already-published tier until the new code lands.
+    /// or on tier-up / promotion as needed. The compile runs on the calling
+    /// thread, so the activation always starts in the tier it wants.
     fn choose_tier(
         &self,
         instance: &mut Instance,
@@ -874,33 +798,6 @@ impl Engine {
         let Some(want_tier) = want else {
             return Ok(None);
         };
-        if instance.artifact.artifact_for(defined, want_tier).is_some() {
-            self.observe_published(instance, defined, want_tier);
-            if want_tier == CompileTier::Opt {
-                // A baseline compile this instance requested may have been
-                // superseded by the promotion without ever being activated;
-                // settle its pending observation so the work is accounted.
-                self.observe_published(instance, defined, CompileTier::Baseline);
-            }
-            return Ok(Some(want_tier));
-        }
-        if let Some(pool) = &self.background {
-            let pool = Arc::clone(pool);
-            self.enqueue_background(&pool, instance, defined, want_tier);
-            // Every call boundary is a tier boundary: keep running in the
-            // best tier already published and pick up the new code once a
-            // later call observes the filled slot.
-            if want_tier == CompileTier::Opt
-                && instance
-                    .artifact
-                    .artifact_for(defined, CompileTier::Baseline)
-                    .is_some()
-            {
-                self.observe_published(instance, defined, CompileTier::Baseline);
-                return Ok(Some(CompileTier::Baseline));
-            }
-            return Ok(None);
-        }
         self.ensure_compiled(instance, defined, want_tier)
             .map_err(|_| TrapCode::HostError)?;
         Ok(Some(want_tier))
@@ -1395,17 +1292,13 @@ impl Engine {
             // Not compiled yet: request it and guarantee a full loop
             // iteration of progress before the next poll.
             act.osr_skip = true;
-            if let Some(pool) = &self.background {
-                let pool = Arc::clone(pool);
-                self.enqueue_background(&pool, instance, defined, CompileTier::Opt);
-            } else if self.ensure_compiled(instance, defined, CompileTier::Opt).is_err() {
+            if self.ensure_compiled(instance, defined, CompileTier::Opt).is_err() {
                 // The optimizing compiler rejected the function; the
                 // current tier is always correct, so just stop polling.
                 act.osr_off = true;
             }
             return;
         }
-        self.observe_published(instance, defined, CompileTier::Opt);
         let (entry, frame_slots) = {
             let code = instance
                 .artifact

@@ -1,5 +1,5 @@
-//! The compilation pipeline: shared compiled-module artifacts, parallel
-//! eager compilation, and background (off-thread) tier-up.
+//! The compilation pipeline: shared compiled-module artifacts and parallel
+//! eager compilation.
 //!
 //! The paper's central observation is that single-pass baseline compilation
 //! is cheap, *per-function-independent* work. This module exploits that
@@ -17,16 +17,18 @@
 //!   function's compilation reads only immutable inputs, so the output is
 //!   byte-identical to the serial path at any worker count (differentially
 //!   tested in `tests/parallel_determinism.rs`).
-//! * [`BackgroundCompiler`] is a persistent worker pool for tier-up and lazy
-//!   compilation: the engine enqueues a function, keeps interpreting, and
-//!   the finished code is published into the shared artifact's
-//!   [`OnceLock`] slot. Because every call boundary is already a tier
-//!   boundary in this engine, publication needs no code patching — the next
-//!   activation of the function simply observes the filled slot and runs the
-//!   JIT code.
+//!
+//! Everything compiled after instantiation — a lazy first call, a tier-up,
+//! a promotion to the optimizing tier, an OSR request — runs
+//! [`compile_function`] on the calling thread and publishes into the shared
+//! artifact's [`OnceLock`] slot. Because every call boundary is already a
+//! tier boundary in this engine, publication needs no code patching: the
+//! next activation of the function observes the filled slot and runs the
+//! JIT code.
 //!
 //! [`Instance`]: crate::engine::Instance
 //! [`EngineConfig::compile_workers`]: crate::config::EngineConfig
+//! [`Arc`]: std::sync::Arc
 
 use crate::config::{EngineConfig, TierPolicy};
 use crate::engine::EngineError;
@@ -36,12 +38,10 @@ use machine::masm::CodeBackend;
 use machine::x64_masm::{X64Code, X64Masm};
 use spc::{CompileError, CompiledFunction, ProbeSites, SinglePassCompiler};
 use std::fmt;
-use telemetry::{EventKind, Telemetry};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::{self, JoinHandle};
+use std::sync::OnceLock;
+use std::thread;
 use std::time::{Duration, Instant};
+use telemetry::{EventKind, Telemetry};
 use wasm::module::Module;
 use wasm::validate::{validate, FuncInfo, ModuleInfo};
 
@@ -58,8 +58,8 @@ pub struct CompiledArtifact {
     /// per-instruction estimate otherwise).
     pub machine_bytes: u64,
     /// Wall-clock time this function took to compile, wherever the
-    /// compilation ran (instantiate-time worker, background worker, or the
-    /// execution thread on a lazy first call).
+    /// compilation ran (an instantiate-time worker, or the execution thread
+    /// on a lazy first call, tier-up, or OSR request).
     pub compile_wall: Duration,
     /// The real x86-64 encoding of the function, kept when the configuration
     /// selects [`CodeBackend::X64`] so code-size metrics and determinism
@@ -96,7 +96,7 @@ pub fn eager_tier(config: &EngineConfig) -> CompileTier {
 ///
 /// Construction validates the module and prepares every defined function
 /// (sidetables, frame metadata). Code slots start empty and are filled by
-/// eager, lazy, or background compilation; publication is atomic and
+/// eager, lazy, or tier-up compilation; publication is atomic and
 /// idempotent (first writer wins — and every writer produces identical
 /// bytes, since compilation is a pure function of the slot's immutable
 /// inputs).
@@ -198,16 +198,10 @@ impl CompiledModule {
         self.artifact_for(defined, tier).map(|a| &a.function)
     }
 
-    /// Atomically publishes a baseline compilation of `defined`. Returns
+    /// Atomically publishes a compilation of `defined` in `tier`. Returns
     /// `true` if this call installed the artifact and `false` if another
-    /// compilation won the race (the artifact is dropped; both are
-    /// byte-identical).
-    pub fn publish(&self, defined: u32, artifact: CompiledArtifact) -> bool {
-        self.publish_for(defined, CompileTier::Baseline, artifact)
-    }
-
-    /// Atomically publishes a compilation of `defined` in `tier`. First
-    /// writer wins; for the optimizing tier, racing artifacts may differ in
+    /// compilation won the race (the artifact is dropped). First writer
+    /// wins; for the optimizing tier, racing artifacts may differ in
     /// block layout (profiles are per-instance) but never in semantics.
     pub fn publish_for(&self, defined: u32, tier: CompileTier, artifact: CompiledArtifact) -> bool {
         self.slots_for(tier)[defined as usize].set(artifact).is_ok()
@@ -511,202 +505,11 @@ pub fn compile_eager(
     Ok(published)
 }
 
-/// A unit of background compilation: one function of one shared artifact.
-struct CompileJob {
-    artifact: Arc<CompiledModule>,
-    defined: u32,
-    probes: ProbeSites,
-    config: EngineConfig,
-    tier: CompileTier,
-    /// Branch profile snapshot taken at enqueue time (optimizing tier only).
-    profile: Option<FuncProfile>,
-}
-
-/// Counters shared between the pool's handle and its worker threads.
-#[derive(Debug, Default)]
-struct PoolCounters {
-    queued: AtomicU64,
-    completed: AtomicU64,
-    compiled: AtomicU64,
-}
-
-/// A persistent pool of background compile workers.
-///
-/// The engine enqueues tier-up / lazy-compile requests here and keeps
-/// executing in the interpreter; workers compile on their own threads and
-/// publish results atomically into the shared [`CompiledModule`]. A failed
-/// background compilation is swallowed (the counter still advances): the
-/// function simply stays interpreted, which is always a correct tier.
-///
-/// Dropping the pool closes the queue and joins the workers.
-pub struct BackgroundCompiler {
-    sender: Mutex<Option<Sender<CompileJob>>>,
-    workers: Vec<JoinHandle<()>>,
-    counters: Arc<PoolCounters>,
-}
-
-impl fmt::Debug for BackgroundCompiler {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BackgroundCompiler")
-            .field("workers", &self.workers.len())
-            .field("queued", &self.counters.queued.load(Ordering::SeqCst))
-            .field("completed", &self.counters.completed.load(Ordering::SeqCst))
-            .finish()
-    }
-}
-
-impl BackgroundCompiler {
-    /// Starts a pool with `workers` compile threads (at least one).
-    pub fn new(workers: usize) -> BackgroundCompiler {
-        BackgroundCompiler::with_telemetry(workers, Telemetry::disabled())
-    }
-
-    /// Starts a pool whose workers report compile and tier-up events into
-    /// `telemetry` (each worker thread gets its own event ring).
-    pub fn with_telemetry(workers: usize, telemetry: Telemetry) -> BackgroundCompiler {
-        let (sender, receiver) = channel::<CompileJob>();
-        let receiver = Arc::new(Mutex::new(receiver));
-        let counters = Arc::new(PoolCounters::default());
-        let workers = (0..workers.max(1))
-            .map(|i| {
-                let receiver = Arc::clone(&receiver);
-                let counters = Arc::clone(&counters);
-                let telemetry = telemetry.clone();
-                thread::Builder::new()
-                    .name(format!("bg-compile-{i}"))
-                    .spawn(move || worker_loop(&receiver, &counters, &telemetry))
-                    .expect("spawn background compile worker")
-            })
-            .collect();
-        BackgroundCompiler {
-            sender: Mutex::new(Some(sender)),
-            workers,
-            counters,
-        }
-    }
-
-    /// Enqueues the baseline compilation of `defined` in `artifact`. Returns
-    /// `false` if the pool has already been shut down.
-    pub fn enqueue(
-        &self,
-        artifact: Arc<CompiledModule>,
-        defined: u32,
-        probes: ProbeSites,
-        config: EngineConfig,
-    ) -> bool {
-        self.enqueue_tier(artifact, defined, probes, config, CompileTier::Baseline, None)
-    }
-
-    /// Enqueues the compilation of `defined` in `artifact` for `tier`, with
-    /// an optional branch-profile snapshot for the optimizing tier. Returns
-    /// `false` if the pool has already been shut down.
-    pub fn enqueue_tier(
-        &self,
-        artifact: Arc<CompiledModule>,
-        defined: u32,
-        probes: ProbeSites,
-        config: EngineConfig,
-        tier: CompileTier,
-        profile: Option<FuncProfile>,
-    ) -> bool {
-        let sender = self.sender.lock().expect("pool sender poisoned");
-        match sender.as_ref() {
-            Some(s) => {
-                self.counters.queued.fetch_add(1, Ordering::SeqCst);
-                s.send(CompileJob {
-                    artifact,
-                    defined,
-                    probes,
-                    config,
-                    tier,
-                    profile,
-                })
-                .is_ok()
-            }
-            None => false,
-        }
-    }
-
-    /// Jobs enqueued over the pool's lifetime.
-    pub fn jobs_queued(&self) -> u64 {
-        self.counters.queued.load(Ordering::SeqCst)
-    }
-
-    /// Jobs fully processed (compiled, skipped, or failed).
-    pub fn jobs_completed(&self) -> u64 {
-        self.counters.completed.load(Ordering::SeqCst)
-    }
-
-    /// Functions this pool actually compiled and published (excludes jobs
-    /// whose slot was already filled when the worker got to them).
-    pub fn functions_compiled(&self) -> u64 {
-        self.counters.compiled.load(Ordering::SeqCst)
-    }
-
-    /// Blocks until every job enqueued so far has been processed. Intended
-    /// for tests and benchmarks; the engine itself never waits — that is the
-    /// point of the background queue.
-    pub fn wait_idle(&self) {
-        while self.jobs_completed() < self.jobs_queued() {
-            thread::yield_now();
-            thread::sleep(Duration::from_micros(50));
-        }
-    }
-}
-
-impl Drop for BackgroundCompiler {
-    fn drop(&mut self) {
-        // Closing the channel ends every worker's receive loop.
-        *self.sender.lock().expect("pool sender poisoned") = None;
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-fn worker_loop(
-    receiver: &Mutex<Receiver<CompileJob>>,
-    counters: &PoolCounters,
-    telemetry: &Telemetry,
-) {
-    loop {
-        // Hold the lock only to receive; compilation runs unlocked so other
-        // workers can pick up jobs concurrently.
-        let job = match receiver.lock() {
-            Ok(rx) => rx.recv(),
-            Err(_) => return,
-        };
-        let Ok(job) = job else { return };
-        if job.artifact.artifact_for(job.defined, job.tier).is_none() {
-            let func_index = job.artifact.module().defined_to_func_index(job.defined);
-            let result = compile_function_traced(
-                telemetry,
-                &job.config,
-                job.tier,
-                job.artifact.module(),
-                func_index,
-                job.artifact.func_info(job.defined),
-                &job.probes,
-                job.profile.as_ref(),
-            );
-            if let Ok(compiled) = result {
-                if job.artifact.publish_for(job.defined, job.tier, compiled) {
-                    counters.compiled.fetch_add(1, Ordering::SeqCst);
-                    telemetry.emit(EventKind::TierUp {
-                        func: func_index,
-                        tier: telemetry_tier(job.tier),
-                    });
-                }
-            }
-        }
-        counters.completed.fetch_add(1, Ordering::SeqCst);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use spc::CompilerOptions;
+    use std::sync::Arc;
     use wasm::builder::{CodeBuilder, ModuleBuilder};
     use wasm::opcode::Opcode;
     use wasm::types::{FuncType, ValueType};
@@ -725,7 +528,6 @@ mod tests {
         check::<Arc<CompiledModule>>();
         check::<EngineConfig>();
         check::<Instrumentation>();
-        check::<BackgroundCompiler>();
         check::<crate::cache::CodeCache>();
     }
 
@@ -789,30 +591,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn background_pool_compiles_and_publishes() {
-        let config = EngineConfig::tiered("bg", 1, CompilerOptions::allopt());
-        let artifact = Arc::new(CompiledModule::build(small_module(2)).unwrap());
-        let pool = BackgroundCompiler::new(2);
-        for defined in 0..2 {
-            assert!(pool.enqueue(
-                Arc::clone(&artifact),
-                defined,
-                ProbeSites::none(),
-                config.clone()
-            ));
-        }
-        pool.wait_idle();
-        assert_eq!(pool.jobs_queued(), 2);
-        assert_eq!(pool.jobs_completed(), 2);
-        assert_eq!(pool.functions_compiled(), 2);
-        assert_eq!(artifact.compiled_count(), 2);
-        // Re-enqueueing an already-compiled function completes without
-        // recompiling.
-        assert!(pool.enqueue(artifact.clone(), 0, ProbeSites::none(), config));
-        pool.wait_idle();
-        assert_eq!(pool.functions_compiled(), 2);
     }
 }

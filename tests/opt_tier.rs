@@ -102,6 +102,8 @@ fn three_tier_promotion_is_seamless_mid_workload() {
         assert_eq!(r, vec![machine::values::WasmValue::I32(144)]);
     }
     assert_eq!(instance.artifact().opt_compiled_count(), 1);
+    assert!(instance.compiled_code(0).is_some(), "baseline code also published");
+    assert!(instance.metrics.opt_compile_wall > std::time::Duration::ZERO);
     assert!(instance.metrics.opt_exec_cycles > 0);
     assert!(instance.metrics.tiered_up_functions >= 2);
 }

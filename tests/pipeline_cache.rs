@@ -1,14 +1,12 @@
 //! End-to-end tests for the compilation-pipeline subsystem: the keyed code
 //! cache (shared compiled modules across instantiations), multi-worker
-//! eager compilation through the engine, background tier-up, and the
-//! `EngineConfig`-plumbed GC heap threshold.
+//! eager compilation through the engine, and the `EngineConfig`-plumbed GC
+//! heap threshold.
 
 mod common;
 
 use common::fib_module;
-use engine::{
-    BackgroundCompiler, CodeCache, Engine, EngineConfig, Imports, Instrumentation,
-};
+use engine::{CodeCache, Engine, EngineConfig, Imports, Instrumentation};
 use machine::values::WasmValue;
 use spc::{CompilerOptions, TagStrategy};
 use std::sync::Arc;
@@ -141,47 +139,6 @@ fn cache_keys_separate_baseline_and_opt_artifacts() {
     assert_eq!(cache.len(), 2);
 }
 
-/// The optimizing tier promotes through the background pool exactly like the
-/// baseline tier: the engine enqueues and keeps running in the best
-/// published tier; the promotion lands atomically and a later call picks it
-/// up.
-#[test]
-fn background_promotion_to_the_opt_tier_publishes_atomically() {
-    let module = fib_module();
-    let pool = Arc::new(BackgroundCompiler::new(2));
-    let config = EngineConfig::tiered("bg-opt", 1, CompilerOptions::allopt()).with_opt_tier(3);
-    let engine = Engine::new(config).with_background_compiler(Arc::clone(&pool));
-    let mut instance = engine
-        .instantiate(&module, Imports::new(), Instrumentation::none())
-        .unwrap();
-
-    // Cross both thresholds, waiting for the pool between calls so each
-    // promotion is observable at the next call boundary.
-    for n in 0..8 {
-        let r = engine.call_export(&mut instance, "fib", &[WasmValue::I32(10)]).unwrap();
-        assert_eq!(r, vec![WasmValue::I32(55)], "call {n}");
-        pool.wait_idle();
-    }
-    assert_eq!(
-        instance.artifact().opt_compiled_count(),
-        1,
-        "the hot function was promoted off-thread"
-    );
-    assert!(instance.compiled_code(0).is_some(), "baseline code also published");
-    assert_eq!(
-        pool.functions_compiled(),
-        2,
-        "one baseline compile and one optimizing promotion"
-    );
-    assert!(instance.metrics.opt_compile_wall > Duration::ZERO);
-    assert!(instance.metrics.tiered_up_functions >= 2, "{:?}", instance.metrics);
-
-    // And the optimized code agrees with everything else, of course.
-    let r = engine.call_export(&mut instance, "fib", &[WasmValue::I32(15)]).unwrap();
-    assert_eq!(r, vec![WasmValue::I32(610)]);
-    assert!(instance.metrics.opt_exec_cycles > 0);
-}
-
 #[test]
 fn multi_worker_instantiation_runs_all_suites_correctly() {
     // The engine-level parallel path: instantiate with a worker pool and
@@ -208,44 +165,6 @@ fn multi_worker_instantiation_runs_all_suites_correctly() {
             assert_eq!(a.metrics.exec_cycles, b.metrics.exec_cycles);
         }
     }
-}
-
-#[test]
-fn background_tier_up_publishes_while_the_interpreter_keeps_running() {
-    let module = fib_module();
-    let pool = Arc::new(BackgroundCompiler::new(2));
-    let engine = Engine::new(EngineConfig::tiered("bg-tiered", 3, CompilerOptions::allopt()))
-        .with_background_compiler(Arc::clone(&pool));
-    let mut instance = engine
-        .instantiate(&module, Imports::new(), Instrumentation::none())
-        .unwrap();
-
-    // The recursive workload crosses the threshold mid-run; with a
-    // background pool the engine enqueues the compile and keeps
-    // interpreting instead of blocking, so the run completes either way.
-    let r = engine.call_export(&mut instance, "fib", &[WasmValue::I32(12)]).unwrap();
-    assert_eq!(r, vec![WasmValue::I32(144)]);
-    assert!(pool.jobs_queued() >= 1, "the hot function was enqueued");
-    assert_eq!(
-        instance.metrics.compile_wall,
-        Duration::ZERO,
-        "nothing compiles eagerly under the tiered config"
-    );
-
-    // Once the background compile lands, the next call observes the
-    // published slot, switches to JIT code, and attributes the off-thread
-    // compile time to this instance's deferred bucket.
-    pool.wait_idle();
-    assert_eq!(pool.functions_compiled(), 1);
-    let r = engine.call_export(&mut instance, "fib", &[WasmValue::I32(12)]).unwrap();
-    assert_eq!(r, vec![WasmValue::I32(144)]);
-    assert!(instance.compiled_code(0).is_some(), "published into the shared artifact");
-    assert_eq!(instance.metrics.functions_compiled, 1);
-    assert!(instance.metrics.lazy_compile_wall > Duration::ZERO);
-
-    // The interpreter and the JIT agree, as always.
-    let jit = engine.call_export(&mut instance, "fib", &[WasmValue::I32(15)]).unwrap();
-    assert_eq!(jit, vec![WasmValue::I32(610)]);
 }
 
 /// A module whose exported `churn` allocates `n` short-lived host objects

@@ -7,6 +7,8 @@ use common::fib_module;
 use engine::{Engine, EngineConfig, Heap, Imports, Instrumentation, TrapReason};
 use machine::values::WasmValue;
 use spc::{CompilerOptions, TagStrategy};
+use std::time::Duration;
+use suites::{all_suites, Scale};
 use wasm::builder::{CodeBuilder, ModuleBuilder};
 use wasm::module::ConstExpr;
 use wasm::types::{FuncType, GlobalType, ValueType};
@@ -41,6 +43,11 @@ fn tiered_engine_compiles_only_hot_functions() {
     let mut instance = engine
         .instantiate(&module, Imports::new(), Instrumentation::none())
         .unwrap();
+    assert_eq!(
+        instance.metrics.compile_wall,
+        Duration::ZERO,
+        "nothing compiles eagerly under the tiered config"
+    );
 
     // A cold call stays in the interpreter (fib(1) makes a single call).
     engine
@@ -57,6 +64,43 @@ fn tiered_engine_compiles_only_hot_functions() {
     assert!(instance.compiled_code(0).is_some(), "tiered up");
     assert!(instance.call_count(0) > 5);
     assert!(instance.metrics.functions_compiled == 1);
+    // The tier-up compile ran after instantiation, so it lands in the
+    // deferred bucket rather than the eager one.
+    assert!(instance.metrics.lazy_compile_wall > Duration::ZERO, "{:?}", instance.metrics);
+    assert_eq!(instance.metrics.tiered_up_functions, 1);
+}
+
+/// Tier-up compiles on the calling thread, so the call that first runs
+/// baseline, optimized, or OSR'd code depends only on call and back-edge
+/// counts: two fresh three-tier engines repeat every suite item exactly,
+/// down to the simulated cycle.
+#[test]
+fn tiered_runs_repeat_exactly() {
+    let config = EngineConfig::tiered("tiered", 1, CompilerOptions::allopt())
+        .with_opt_tier(2)
+        .with_osr(16);
+    let run = |module: &wasm::Module| {
+        let engine = Engine::new(config.clone());
+        let mut instance = engine
+            .instantiate(module, Imports::new(), Instrumentation::none())
+            .unwrap();
+        let result = engine.call_export(&mut instance, "main", &[]);
+        (result, instance.metrics)
+    };
+    let mut opt_exec_cycles = 0;
+    for suite in all_suites(Scale::Test) {
+        for item in &suite.items {
+            let (first, a) = run(&item.module);
+            let (second, b) = run(&item.module);
+            let name = format!("{}/{}", suite.name, item.name);
+            assert_eq!(first, second, "{name}");
+            assert_eq!(a.exec_cycles, b.exec_cycles, "{name}");
+            assert_eq!(a.opt_exec_cycles, b.opt_exec_cycles, "{name}");
+            assert_eq!(a.tiered_up_functions, b.tiered_up_functions, "{name}");
+            opt_exec_cycles += a.opt_exec_cycles;
+        }
+    }
+    assert!(opt_exec_cycles > 0, "the sweep must reach optimized code");
 }
 
 #[test]
@@ -226,7 +270,7 @@ fn results_and_traps_are_identical_before_and_after_tier_up() {
         instance.metrics
     );
     assert!(
-        instance.metrics.opt_compile_wall > std::time::Duration::ZERO,
+        instance.metrics.opt_compile_wall > Duration::ZERO,
         "{:?}",
         instance.metrics
     );
