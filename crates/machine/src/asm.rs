@@ -10,20 +10,38 @@
 //! the bytecode-level program counter from a machine-code location for
 //! stack traces and instrumentation, per Section IV-B of the paper.
 
+use crate::cpu::Decoded;
 use crate::inst::{Label, MachInst};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A finished, immutable sequence of machine instructions plus metadata.
 ///
 /// Equality compares everything — instructions, label targets, source map,
 /// and size — so two buffers are `==` exactly when they are byte-identical
 /// artifacts; the parallel compile pipeline's determinism tests rely on this.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct CodeBuffer {
     insts: Vec<MachInst>,
     label_targets: Vec<usize>,
     source_map: Vec<(usize, u32)>,
     code_size: usize,
+    /// The pre-decoded form the CPU simulator executes, built on first
+    /// execution: code that never runs (most of a cached module, every
+    /// function of a startup-only load) costs neither the decode nor its
+    /// memory.
+    decoded: OnceLock<Decoded>,
+}
+
+impl PartialEq for CodeBuffer {
+    fn eq(&self, other: &CodeBuffer) -> bool {
+        // `decoded` is a function of the instructions and label targets,
+        // and whether it has been built yet says nothing about the code.
+        self.insts == other.insts
+            && self.label_targets == other.label_targets
+            && self.source_map == other.source_map
+            && self.code_size == other.code_size
+    }
 }
 
 impl CodeBuffer {
@@ -73,7 +91,14 @@ impl CodeBuffer {
             label_targets,
             source_map,
             code_size,
+            decoded: OnceLock::new(),
         }
+    }
+
+    /// The pre-decoded instructions the CPU simulator executes, decoded on
+    /// the first call.
+    pub(crate) fn decoded(&self) -> &Decoded {
+        self.decoded.get_or_init(|| Decoded::new(&self.insts, &self.label_targets))
     }
 
     /// The resolved label targets (instruction indices), indexed by label id.
@@ -248,6 +273,7 @@ impl Assembler {
             label_targets,
             source_map: self.source_map,
             code_size: self.code_size,
+            decoded: OnceLock::new(),
         }
     }
 }

@@ -142,56 +142,165 @@ impl Default for CostModel {
     }
 }
 
-impl CostModel {
-    /// The cost charged for executing one virtual-ISA instruction.
+/// Which [`CostModel`] figure an executed virtual-ISA instruction is charged:
+/// one variant per per-instruction field of the same name, plus `Free` for
+/// `nop`.
+///
+/// [`CostClass::of`] is the single mapping from instruction to cost. The CPU
+/// simulator stores the class in every decoded instruction and charges it
+/// through a per-class table built once from the model, so
+/// [`CostModel::inst_cost`] and the simulator cannot disagree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
+#[allow(missing_docs)]
+pub enum CostClass {
+    Free,
+    Mov,
+    Alu,
+    Mul,
+    Div,
+    Falu,
+    Fdiv,
+    Fsqrt,
+    Convert,
+    Select,
+    SlotLoad,
+    SlotStore,
+    TagStore,
+    MemLoad,
+    MemStore,
+    Global,
+    MemorySize,
+    MemoryGrow,
+    Jump,
+    Branch,
+    BrTable,
+    Call,
+    CallIndirect,
+    Ret,
+    Trap,
+    ProbeRuntime,
+    ProbeDirect,
+    ProbeCounter,
+    ProbeTos,
+    FuelCheck,
+    EpochCheck,
+}
+
+impl CostClass {
+    /// The number of classes.
+    pub const COUNT: usize = CostClass::ALL.len();
+
+    /// Every class, in declaration order (`ALL[c as usize] == c`).
+    pub const ALL: [CostClass; 31] = {
+        use CostClass::*;
+        [
+            Free, Mov, Alu, Mul, Div, Falu, Fdiv, Fsqrt, Convert, Select, SlotLoad, SlotStore,
+            TagStore, MemLoad, MemStore, Global, MemorySize, MemoryGrow, Jump, Branch, BrTable,
+            Call, CallIndirect, Ret, Trap, ProbeRuntime, ProbeDirect, ProbeCounter, ProbeTos,
+            FuelCheck, EpochCheck,
+        ]
+    };
+
+    /// The class an instruction is charged under.
     ///
-    /// Call-like instructions only include the transfer overhead here; the
+    /// Call-like instructions only include the transfer overhead; the
     /// callee's execution is charged as it runs.
-    pub fn inst_cost(&self, inst: &MachInst) -> u64 {
+    pub fn of(inst: &MachInst) -> CostClass {
         use MachInst::*;
         match inst {
-            Nop => 0,
-            MovImm { .. } | FMovImm { .. } | Mov { .. } | FMov { .. } => self.mov,
-            LoadSlot { .. } => self.slot_load,
-            StoreSlot { .. } | StoreSlotImm { .. } => self.slot_store,
-            StoreTag { .. } => self.tag_store,
+            Nop => CostClass::Free,
+            MovImm { .. } | FMovImm { .. } | Mov { .. } | FMov { .. } => CostClass::Mov,
+            LoadSlot { .. } => CostClass::SlotLoad,
+            StoreSlot { .. } | StoreSlotImm { .. } => CostClass::SlotStore,
+            StoreTag { .. } => CostClass::TagStore,
             Alu { op, .. } | AluImm { op, .. } => match op {
-                AluOp::Mul => self.mul,
-                _ if op.is_division() => self.div,
-                _ => self.alu,
+                AluOp::Mul => CostClass::Mul,
+                _ if op.is_division() => CostClass::Div,
+                _ => CostClass::Alu,
             },
-            Unop { .. } => self.alu,
-            Cmp { .. } | CmpImm { .. } => self.alu,
+            Unop { .. } => CostClass::Alu,
+            Cmp { .. } | CmpImm { .. } => CostClass::Alu,
             FAlu { op, .. } => match op {
-                FAluOp::Div => self.fdiv,
-                _ => self.falu,
+                FAluOp::Div => CostClass::Fdiv,
+                _ => CostClass::Falu,
             },
             FUnop { op, .. } => match op {
-                FUnOp::Sqrt => self.fsqrt,
-                _ => self.falu,
+                FUnOp::Sqrt => CostClass::Fsqrt,
+                _ => CostClass::Falu,
             },
-            FCmp { .. } => self.falu,
-            Convert { .. } => self.convert,
-            Select { .. } | FSelect { .. } => self.select,
-            MemLoad { .. } => self.mem_load,
-            MemStore { .. } => self.mem_store,
-            MemorySize { .. } => self.memory_size,
-            MemoryGrow { .. } => self.memory_grow,
-            GlobalGet { .. } | GlobalSet { .. } => self.global,
-            Jump { .. } => self.jump,
-            BrIf { .. } => self.branch,
-            BrTable { .. } => self.br_table,
-            Call { .. } => self.call,
-            CallIndirect { .. } => self.call_indirect,
-            ProbeRuntime { .. } => self.probe_runtime,
-            ProbeDirect { .. } => self.probe_direct,
-            ProbeCounter { .. } => self.probe_counter,
-            ProbeTosValue { .. } => self.probe_tos,
-            FuelCheck { .. } => self.fuel_check,
-            EpochCheck => self.epoch_check,
-            Trap { .. } => self.trap,
-            Return => self.ret,
+            FCmp { .. } => CostClass::Falu,
+            Convert { .. } => CostClass::Convert,
+            Select { .. } | FSelect { .. } => CostClass::Select,
+            MemLoad { .. } => CostClass::MemLoad,
+            MemStore { .. } => CostClass::MemStore,
+            MemorySize { .. } => CostClass::MemorySize,
+            MemoryGrow { .. } => CostClass::MemoryGrow,
+            GlobalGet { .. } | GlobalSet { .. } => CostClass::Global,
+            Jump { .. } => CostClass::Jump,
+            BrIf { .. } => CostClass::Branch,
+            BrTable { .. } => CostClass::BrTable,
+            Call { .. } => CostClass::Call,
+            CallIndirect { .. } => CostClass::CallIndirect,
+            ProbeRuntime { .. } => CostClass::ProbeRuntime,
+            ProbeDirect { .. } => CostClass::ProbeDirect,
+            ProbeCounter { .. } => CostClass::ProbeCounter,
+            ProbeTosValue { .. } => CostClass::ProbeTos,
+            FuelCheck { .. } => CostClass::FuelCheck,
+            EpochCheck => CostClass::EpochCheck,
+            Trap { .. } => CostClass::Trap,
+            Return => CostClass::Ret,
         }
+    }
+}
+
+impl CostModel {
+    /// The cycles charged for one instruction of `class`.
+    pub fn class_cost(&self, class: CostClass) -> u64 {
+        match class {
+            CostClass::Free => 0,
+            CostClass::Mov => self.mov,
+            CostClass::Alu => self.alu,
+            CostClass::Mul => self.mul,
+            CostClass::Div => self.div,
+            CostClass::Falu => self.falu,
+            CostClass::Fdiv => self.fdiv,
+            CostClass::Fsqrt => self.fsqrt,
+            CostClass::Convert => self.convert,
+            CostClass::Select => self.select,
+            CostClass::SlotLoad => self.slot_load,
+            CostClass::SlotStore => self.slot_store,
+            CostClass::TagStore => self.tag_store,
+            CostClass::MemLoad => self.mem_load,
+            CostClass::MemStore => self.mem_store,
+            CostClass::Global => self.global,
+            CostClass::MemorySize => self.memory_size,
+            CostClass::MemoryGrow => self.memory_grow,
+            CostClass::Jump => self.jump,
+            CostClass::Branch => self.branch,
+            CostClass::BrTable => self.br_table,
+            CostClass::Call => self.call,
+            CostClass::CallIndirect => self.call_indirect,
+            CostClass::Ret => self.ret,
+            CostClass::Trap => self.trap,
+            CostClass::ProbeRuntime => self.probe_runtime,
+            CostClass::ProbeDirect => self.probe_direct,
+            CostClass::ProbeCounter => self.probe_counter,
+            CostClass::ProbeTos => self.probe_tos,
+            CostClass::FuelCheck => self.fuel_check,
+            CostClass::EpochCheck => self.epoch_check,
+        }
+    }
+
+    /// The per-class cost table, indexed by `class as usize`.
+    pub(crate) fn class_costs(&self) -> [u64; CostClass::COUNT] {
+        CostClass::ALL.map(|class| self.class_cost(class))
+    }
+
+    /// The cost charged for executing one virtual-ISA instruction: the cost
+    /// of its [`CostClass`].
+    pub fn inst_cost(&self, inst: &MachInst) -> u64 {
+        self.class_cost(CostClass::of(inst))
     }
 }
 
@@ -285,6 +394,16 @@ mod tests {
             m.inst_cost(&MachInst::Trap { code: TrapCode::Unreachable }),
             m.trap
         );
+    }
+
+    #[test]
+    fn class_table_is_indexed_by_class() {
+        let m = CostModel::default();
+        let table = m.class_costs();
+        for (i, class) in CostClass::ALL.into_iter().enumerate() {
+            assert_eq!(class as usize, i, "{class:?}");
+            assert_eq!(table[i], m.class_cost(class), "{class:?}");
+        }
     }
 
     #[test]

@@ -23,6 +23,7 @@ fn mask(width: Width, v: u64) -> u64 {
 /// # Errors
 ///
 /// Returns a trap code for division by zero and signed division overflow.
+#[inline(always)]
 pub fn eval_alu(op: AluOp, width: Width, a: u64, b: u64) -> Result<u64, TrapCode> {
     let result = match width {
         Width::W32 => {
@@ -122,6 +123,7 @@ pub fn eval_alu(op: AluOp, width: Width, a: u64, b: u64) -> Result<u64, TrapCode
 }
 
 /// Evaluates a single-operand integer operation.
+#[inline(always)]
 pub fn eval_unop(op: UnOp, width: Width, v: u64) -> u64 {
     let r = match width {
         Width::W32 => {
@@ -150,6 +152,7 @@ pub fn eval_unop(op: UnOp, width: Width, v: u64) -> u64 {
 }
 
 /// Evaluates an integer comparison, producing 0 or 1.
+#[inline(always)]
 pub fn eval_cmp(op: CmpOp, width: Width, a: u64, b: u64) -> u64 {
     let result = match width {
         Width::W32 => {
@@ -232,6 +235,7 @@ fn wasm_max_f64(a: f64, b: f64) -> f64 {
 }
 
 /// Evaluates a two-operand floating-point operation on raw bits.
+#[inline(always)]
 pub fn eval_falu(op: FAluOp, width: Width, a: u64, b: u64) -> u64 {
     match width {
         Width::W32 => {
@@ -264,6 +268,7 @@ pub fn eval_falu(op: FAluOp, width: Width, a: u64, b: u64) -> u64 {
 }
 
 /// Evaluates a single-operand floating-point operation on raw bits.
+#[inline(always)]
 pub fn eval_funop(op: FUnOp, width: Width, v: u64) -> u64 {
     match width {
         Width::W32 => {
@@ -296,6 +301,7 @@ pub fn eval_funop(op: FUnOp, width: Width, v: u64) -> u64 {
 }
 
 /// Evaluates a floating-point comparison, producing 0 or 1.
+#[inline(always)]
 pub fn eval_fcmp(op: FCmpOp, width: Width, a: u64, b: u64) -> u64 {
     let (x, y) = match width {
         Width::W32 => (f32_of(a) as f64, f32_of(b) as f64),
@@ -329,6 +335,7 @@ fn trunc_to_int(v: f64, min: f64, max: f64) -> Result<f64, TrapCode> {
 ///
 /// Returns a trap code for float-to-integer truncations of NaN or
 /// out-of-range values.
+#[inline(always)]
 pub fn eval_convert(op: ConvOp, v: u64) -> Result<u64, TrapCode> {
     use ConvOp::*;
     Ok(match op {

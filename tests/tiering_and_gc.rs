@@ -103,6 +103,76 @@ fn tiered_runs_repeat_exactly() {
     assert!(opt_exec_cycles > 0, "the sweep must reach optimized code");
 }
 
+/// Summed simulated cycles and code-size counters of one configuration over
+/// every test-scale suite item.
+#[derive(Debug, PartialEq, Eq)]
+struct CycleTotals {
+    exec_cycles: u64,
+    opt_exec_cycles: u64,
+    tag_stores_emitted: u64,
+    compiled_machine_bytes: u64,
+}
+
+fn cycle_totals(config: &EngineConfig) -> CycleTotals {
+    let mut totals = CycleTotals {
+        exec_cycles: 0,
+        opt_exec_cycles: 0,
+        tag_stores_emitted: 0,
+        compiled_machine_bytes: 0,
+    };
+    for suite in all_suites(Scale::Test) {
+        for item in &suite.items {
+            let engine = Engine::new(config.clone());
+            let mut instance = engine
+                .instantiate(&item.module, Imports::new(), Instrumentation::none())
+                .unwrap();
+            let _ = engine.call_export(&mut instance, "main", &[]);
+            let m = instance.metrics;
+            totals.exec_cycles += m.exec_cycles;
+            totals.opt_exec_cycles += m.opt_exec_cycles;
+            totals.tag_stores_emitted += m.tag_stores_emitted;
+            totals.compiled_machine_bytes += m.compiled_machine_bytes;
+        }
+    }
+    totals
+}
+
+/// Pins the simulated cycles of the benchmark's two execution
+/// configurations (baseline-only and three-tier with OSR) to fixed values.
+/// Simulated cycles are the paper's execution-time measure, so a change to
+/// how the simulator executes code must leave them bit-identical; a change
+/// to the compilers or the cost model that moves them must update these
+/// constants deliberately.
+#[test]
+fn simulated_cycles_are_pinned() {
+    let spc = cycle_totals(&EngineConfig::baseline("spc", CompilerOptions::allopt()));
+    assert_eq!(
+        spc,
+        CycleTotals {
+            exec_cycles: 10_136_834,
+            opt_exec_cycles: 0,
+            tag_stores_emitted: 234,
+            compiled_machine_bytes: 27_495,
+        },
+        "baseline-only totals"
+    );
+    let tiered = cycle_totals(
+        &EngineConfig::tiered("tiered", 1, CompilerOptions::allopt())
+            .with_opt_tier(2)
+            .with_osr(1000),
+    );
+    assert_eq!(
+        tiered,
+        CycleTotals {
+            exec_cycles: 27_413_140,
+            opt_exec_cycles: 4_843_005,
+            tag_stores_emitted: 39,
+            compiled_machine_bytes: 7_279,
+        },
+        "three-tier totals"
+    );
+}
+
 #[test]
 fn stack_overflow_is_a_trap_not_a_crash() {
     // Infinite recursion must produce a structured stack-exhaustion trap.
